@@ -5,6 +5,14 @@
 // the simulated deployment, so images are interchangeable with pmkv and
 // the examples.
 //
+// The image file is mapped, and each PUT's fence copies its lines into
+// the mapping before the 200 is sent. A 200 therefore means the write
+// survives the death of the process: SIGKILL, the OOM killer, a panic.
+// Pages reach the disk on the kernel's writeback schedule and at clean
+// shutdown (SIGINT/SIGTERM, which syncs and closes the image); after a
+// power loss or kernel crash only the state as of the last such sync is
+// guaranteed. Request bodies above 1 MiB are refused with 413.
+//
 // Usage:
 //
 //	pktstored -listen :8080 -pm store.img

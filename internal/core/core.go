@@ -88,6 +88,7 @@ const (
 
 	extSize       = 12
 	inlineExtents = 2
+	maxExtents    = 255 // the slot's one-byte extent count
 	chainExtents  = 9
 	oChainCnt     = 4
 	oChainExt     = 8
@@ -118,7 +119,11 @@ const (
 var (
 	ErrFull       = errors.New("pktstore: out of metadata or data slots")
 	ErrKeyTooLong = errors.New("pktstore: key exceeds 64KB")
-	ErrCorrupt    = errors.New("pktstore: corrupt store")
+	// ErrValueTooLarge marks a value spread over more extents than a
+	// record slot can count (maxExtents): one data slot each on the copy
+	// path, one packet payload each on the zero-copy path.
+	ErrValueTooLarge = errors.New("pktstore: value needs more than 255 extents")
+	ErrCorrupt       = errors.New("pktstore: corrupt store")
 	// ErrShardDown marks an operation routed to a quarantined shard: its
 	// recovery or verification failed, so it is fenced off while the rest
 	// of the store keeps serving. Errors carry the shard index and reason;

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -107,6 +108,31 @@ func TestLargeValueSpansSlots(t *testing.T) {
 	ref, _, _ := s.GetRef([]byte("big"))
 	if len(ref.Extents) <= inlineExtents {
 		t.Fatalf("expected chained extents, got %d", len(ref.Extents))
+	}
+}
+
+// TestValueExtentLimit stores a value of exactly maxExtents data slots
+// and refuses one a byte longer: the slot counts extents in one byte,
+// and a record that overflows it would be acked yet unreadable.
+func TestValueExtentLimit(t *testing.T) {
+	const buf = 512
+	_, s := newStore(t, Config{VerifyOnGet: true, DataBufSize: buf, DataSlots: 3 * maxExtents})
+	key := []byte("k")
+	val := bytes.Repeat([]byte("v"), maxExtents*buf-len(key))
+	if err := s.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.Get(key)
+	if err != nil || !ok || !bytes.Equal(got, val) {
+		t.Fatalf("value of %d extents: %d bytes, %v, %v", maxExtents, len(got), ok, err)
+	}
+	if err := s.Put([]byte("k2"), append(val, 'x')); !errors.Is(err, ErrValueTooLarge) {
+		t.Fatalf("value of %d extents: err %v, want ErrValueTooLarge", maxExtents+1, err)
+	}
+	// The refused put returned its data slots: the first value fits
+	// again under another key.
+	if err := s.Put([]byte("j"), val); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -129,6 +129,9 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	if s.cfg.Breakdown {
 		s.bd.Ops++
 	}
+	if len(opt.Extents) > maxExtents {
+		return ErrValueTooLarge
+	}
 	tAlloc := s.tnow()
 	nChains := 0
 	if n := len(opt.Extents); n > inlineExtents {

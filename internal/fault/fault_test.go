@@ -11,6 +11,9 @@ import (
 )
 
 func TestMain(m *testing.M) {
+	if arg := os.Getenv(killChildEnv); arg != "" {
+		os.Exit(serveKillChild(arg))
+	}
 	// Hundreds of torture runs each log their injected crash; keep the
 	// test output readable. Failures carry the seed in their message.
 	pmem.SetCrashLogger(func(int64) {})

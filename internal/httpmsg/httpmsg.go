@@ -9,10 +9,30 @@
 package httpmsg
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
+
+// MaxBody caps a request's Content-Length. Servers buffer or stage a
+// body before executing its request, so a larger declared length is
+// refused with ErrBodyTooLarge when the header block completes, before
+// any body byte is accepted.
+const MaxBody = 1 << 20
+
+// ErrBodyTooLarge is the protocol error for a Content-Length above
+// MaxBody.
+var ErrBodyTooLarge = errors.New("httpmsg: request body too large")
+
+// ErrorStatus is the status a server answers a fatal parse error with
+// before it closes the connection: 413 for ErrBodyTooLarge, else 400.
+func ErrorStatus(err error) int {
+	if errors.Is(err, ErrBodyTooLarge) {
+		return 413
+	}
+	return 400
+}
 
 // Request is a parsed HTTP request line plus the headers the KV protocol
 // uses.
@@ -178,6 +198,9 @@ func (p *RequestParser) parseHeaderBlock() error {
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
 				return fmt.Errorf("httpmsg: bad content-length %q", val)
+			}
+			if n > MaxBody {
+				return fmt.Errorf("%w: content-length %d exceeds %d", ErrBodyTooLarge, n, MaxBody)
 			}
 			p.req.ContentLength = n
 		case "x-budget-us":
@@ -360,6 +383,8 @@ func StatusText(code int) string {
 		return "Bad Request"
 	case 404:
 		return "Not Found"
+	case 413:
+		return "Payload Too Large"
 	case 500:
 		return "Internal Server Error"
 	case 503:

@@ -105,6 +105,7 @@ func TestMalformedRequests(t *testing.T) {
 		"GET /x HTTP/1.1\r\nNoColonHere\r\n\r\n",
 		"PUT /x HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
 		"PUT /x HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+		fmt.Sprintf("PUT /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n", MaxBody+1),
 	}
 	for _, c := range cases {
 		p := NewRequestParser(0)

@@ -140,7 +140,7 @@ func (s *NetServer) serveConn(c net.Conn) {
 		for len(chunk) > 0 {
 			res := parser.Feed(chunk)
 			if res.Err != nil {
-				resp = httpmsg.AppendResponse(resp, 400, 0)
+				resp = httpmsg.AppendResponse(resp, httpmsg.ErrorStatus(res.Err), 0)
 				c.Write(resp)
 				return
 			}

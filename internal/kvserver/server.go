@@ -1358,6 +1358,8 @@ func statusForErr(err error) int {
 		return 507
 	case errors.Is(err, core.ErrKeyTooLong):
 		return 400
+	case errors.Is(err, core.ErrValueTooLarge):
+		return 413
 	default:
 		return 500
 	}
@@ -1576,7 +1578,7 @@ func (x *executor) protocolError(st *connState, err error) {
 	// finds an online rebuild dropped the staged group, the buffered
 	// acks are discarded and the connection just closes.
 	if x.commitGroup() {
-		st.resp = httpmsg.AppendResponse(st.resp, 400, 0)
+		st.resp = httpmsg.AppendResponse(st.resp, httpmsg.ErrorStatus(err), 0)
 		x.flushResp(st)
 	} else {
 		st.resp = st.resp[:0]

@@ -158,7 +158,7 @@ func (r *Region) FlushBatchFrom(node int, fs *FlushSet) BatchStats {
 		panic("pmem: FlushBatch range outside region")
 	}
 	r.mu.Lock()
-	if r.failed {
+	if r.failed || r.closed {
 		r.mu.Unlock()
 		fs.Reset()
 		return bs

@@ -38,6 +38,10 @@ type XorSpan struct {
 func (r *Region) XorDeltaBatch(spans []XorSpan) {
 	nl := 0
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return
+	}
 	for _, sp := range spans {
 		if sp.N == 0 {
 			continue
@@ -72,8 +76,9 @@ func (r *Region) XorDeltaBatch(spans []XorSpan) {
 // would leave them. Destination lines that are volatile-dirty are
 // skipped and counted — someone is mid-write there, and clobbering an
 // in-flight line would corrupt state the durable images cannot vouch
-// for; the caller treats skipped lines as not-yet-repairable. Write and
-// flush latency is charged per reconstructed line, plus one fence.
+// for; the caller treats skipped lines as not-yet-repairable. On a
+// closed region every line is skipped. Write and flush latency is
+// charged per reconstructed line, plus one fence.
 func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 	if n == 0 || len(srcs) == 0 {
 		return 0
@@ -91,6 +96,10 @@ func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 	line := make([]byte, LineSize)
 	restored := 0
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return n / LineSize
+	}
 	for o := 0; o < n; o += LineSize {
 		l := (off + o) / LineSize
 		if r.dirty[l/64]&(1<<(l%64)) != 0 {
@@ -129,6 +138,10 @@ func (r *Region) EraseRange(off, n int) {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
 	for i := off; i < off+n; i++ {
 		r.buf[i] = 0
 		r.shadow[i] = 0
@@ -140,7 +153,6 @@ func (r *Region) EraseRange(off, n int) {
 		r.dirty[w] &^= bit
 		r.pending[w] &^= bit
 	}
-	r.mu.Unlock()
 }
 
 // ReadShadow copies the durable image of [off, off+len(dst)) into dst,
@@ -150,6 +162,8 @@ func (r *Region) EraseRange(off, n int) {
 func (r *Region) ReadShadow(dst []byte, off int) {
 	r.check(off, len(dst))
 	r.mu.Lock()
-	copy(dst, r.shadow[off:])
+	if !r.closed {
+		copy(dst, r.shadow[off:])
+	}
 	r.mu.Unlock()
 }

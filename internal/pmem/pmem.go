@@ -20,9 +20,12 @@
 //     bugs (missing flushes, missing fences, wrong ordering) manifest as
 //     real data loss in tests.
 //
-// A Region may be backed by a file, giving actual durability across
-// process restarts for the CLI tools; the file holds the persisted image
-// and is written on Sync and Close.
+// A Region may be backed by a file (OpenFile). The durable image is then
+// a MAP_SHARED mapping of that file, the analogue of a DAX-mapped PM
+// namespace: Fence copies fenced lines straight into the page cache, so
+// they survive the death of the process (SIGKILL, the OOM killer, a
+// panic) with no further call. Sync writes the dirty pages back to the
+// disk; only that makes them survive a power loss or kernel crash.
 package pmem
 
 import (
@@ -34,6 +37,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"packetstore/internal/calib"
@@ -140,7 +144,10 @@ type Region struct {
 	// only what was flushed instead of the whole (potentially multi-GB)
 	// line space.
 	pendingWords []int
-	closed       bool
+	// closed is set by Close. From then on every operation that touches
+	// the durable image is a no-op, as after a power cut: a file-backed
+	// shadow is unmapped by then.
+	closed bool
 
 	// Fault injection: persistHook is consulted on every Flush/Fence;
 	// once it cuts the power, failed stays true until Crash reboots the
@@ -153,7 +160,8 @@ type Region struct {
 	failed      bool
 	frozen      map[int][]byte
 
-	file *os.File // nil if purely in-memory
+	file    *os.File // nil if purely in-memory
+	mapping []byte   // the mapped image file: header, then shadow
 
 	readLine  time.Duration
 	writeLine time.Duration
@@ -201,14 +209,24 @@ func (r *Region) SetMultiCore(on bool) { r.multiCore.Store(on) }
 // New creates an in-memory Region of the given size with latencies taken
 // from profile. Size is rounded up to a whole number of lines.
 func New(size int, profile calib.Profile) *Region {
+	size = roundSize(size)
+	return newRegion(make([]byte, size), profile)
+}
+
+func roundSize(size int) int {
 	if size <= 0 {
 		panic("pmem: non-positive size")
 	}
-	size = (size + LineSize - 1) &^ (LineSize - 1)
-	nlines := size / LineSize
+	return (size + LineSize - 1) &^ (LineSize - 1)
+}
+
+// newRegion builds a Region over the durable image shadow, whose length
+// is a whole number of lines. The volatile image starts zeroed.
+func newRegion(shadow []byte, profile calib.Profile) *Region {
+	nlines := len(shadow) / LineSize
 	return &Region{
-		buf:       make([]byte, size),
-		shadow:    make([]byte, size),
+		buf:       make([]byte, len(shadow)),
+		shadow:    shadow,
 		dirty:     make([]uint64, (nlines+63)/64),
 		pending:   make([]uint64, (nlines+63)/64),
 		readLine:  profile.PMReadLine,
@@ -221,53 +239,70 @@ func New(size int, profile calib.Profile) *Region {
 // fileMagic distinguishes a Region backing file.
 var fileMagic = []byte("PKTSPMEM")
 
-// OpenFile opens (or creates) a file-backed Region of the given size. An
-// existing file's persisted image is loaded; its size must match. The
-// volatile image starts equal to the persisted image, as after a reboot.
+// OpenFile opens (or creates) a file-backed Region of the given size. The
+// file holds the 8-byte magic, then the durable image, which is mapped
+// MAP_SHARED in place rather than copied. A fresh file is allocated in
+// full on disk up front, so that a full disk fails here instead of
+// raising SIGBUS on a later fence. An existing file's size must match.
+// The volatile image starts equal to the persisted image, as after a
+// reboot.
 func OpenFile(path string, size int, profile calib.Profile) (*Region, error) {
-	r := New(size, profile)
+	size = roundSize(size)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pmem: open %s: %w", path, err)
 	}
-	st, err := f.Stat()
+	m, fresh, err := mapImage(f, path, int64(len(fileMagic)+size))
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	want := int64(len(fileMagic) + len(r.shadow))
-	switch {
-	case st.Size() == 0:
-		// Fresh device: write the initial (zero) image.
-		if _, err := f.Write(fileMagic); err != nil {
-			f.Close()
-			return nil, err
+	r := newRegion(m[len(fileMagic):], profile)
+	if !fresh {
+		copy(r.buf, r.shadow)
+	}
+	r.file, r.mapping = f, m
+	return r, nil
+}
+
+// mapImage validates or initialises the image file f of want bytes and
+// maps it shared. fresh reports a newly created (all-zero) image.
+func mapImage(f *os.File, path string, want int64) (m []byte, fresh bool, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, false, err
+	}
+	switch st.Size() {
+	case 0:
+		fresh = true
+		if _, err := f.WriteAt(fileMagic, 0); err != nil {
+			return nil, false, err
 		}
-		if _, err := f.Write(r.shadow); err != nil {
-			f.Close()
-			return nil, err
+		if err := f.Truncate(want); err != nil {
+			return nil, false, err
 		}
-	case st.Size() == want:
+		// A file system without fallocate still serves the image, but a
+		// full disk then surfaces as SIGBUS on a fence.
+		err := syscall.Fallocate(int(f.Fd()), 0, 0, want)
+		if err != nil && !errors.Is(err, syscall.EOPNOTSUPP) {
+			return nil, false, fmt.Errorf("pmem: allocate %s: %w", path, err)
+		}
+	case want:
 		hdr := make([]byte, len(fileMagic))
 		if _, err := f.ReadAt(hdr, 0); err != nil {
-			f.Close()
-			return nil, err
+			return nil, false, err
 		}
 		if string(hdr) != string(fileMagic) {
-			f.Close()
-			return nil, fmt.Errorf("pmem: %s is not a pmem image", path)
+			return nil, false, fmt.Errorf("pmem: %s is not a pmem image", path)
 		}
-		if _, err := f.ReadAt(r.shadow, int64(len(fileMagic))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		copy(r.buf, r.shadow)
 	default:
-		f.Close()
-		return nil, fmt.Errorf("pmem: %s has size %d, want %d", path, st.Size(), want)
+		return nil, false, fmt.Errorf("pmem: %s has size %d, want %d", path, st.Size(), want)
 	}
-	r.file = f
-	return r, nil
+	m, err = syscall.Mmap(int(f.Fd()), 0, int(want), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, false, fmt.Errorf("pmem: map %s: %w", path, err)
+	}
+	return m, fresh, nil
 }
 
 // Size returns the region size in bytes.
@@ -443,7 +478,7 @@ func (r *Region) FlushFrom(node, off, n int) {
 	numa := r.numaNodes > 1
 	var acc nodeAcc
 	r.mu.Lock()
-	if r.failed {
+	if r.failed || r.closed {
 		r.mu.Unlock()
 		return
 	}
@@ -528,7 +563,7 @@ func (r *Region) freezePendingLocked() {
 // to the durable shadow image.
 func (r *Region) Fence() {
 	r.mu.Lock()
-	if r.failed {
+	if r.failed || r.closed {
 		r.mu.Unlock()
 		return
 	}
@@ -628,6 +663,9 @@ func (r *Region) Crash(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
 	r.persistHook = nil
 	r.failed = false
 	defer func() { r.frozen = nil }()
@@ -663,28 +701,32 @@ func (r *Region) Crash(seed int64) {
 func (r *Region) CorruptByte(off int, mask byte) {
 	r.check(off, 1)
 	r.mu.Lock()
-	r.buf[off] ^= mask
-	r.shadow[off] ^= mask
+	if !r.closed {
+		r.buf[off] ^= mask
+		r.shadow[off] ^= mask
+	}
 	r.mu.Unlock()
 }
 
-// Sync writes the durable image to the backing file, if any.
+// Sync writes the image file's dirty pages back to the disk, if the
+// region is file-backed. Fenced lines already outlive the process; after
+// Sync they also outlive a power loss or kernel crash.
 func (r *Region) Sync() error {
-	if r.file == nil {
+	r.mu.Lock()
+	f := r.file
+	r.mu.Unlock()
+	if f == nil {
 		return nil
 	}
-	r.mu.Lock()
-	img := make([]byte, len(r.shadow))
-	copy(img, r.shadow)
-	r.mu.Unlock()
-	if _, err := r.file.WriteAt(img, int64(len(fileMagic))); err != nil {
-		return err
-	}
-	return r.file.Sync()
+	return f.Sync()
 }
 
-// Close syncs (when file-backed) and releases the backing file.
+// Close syncs (when file-backed), unmaps the image and releases the
+// backing file. Later persist operations are no-ops, as after a power
+// cut.
 func (r *Region) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
 		return errors.New("pmem: already closed")
 	}
@@ -692,11 +734,14 @@ func (r *Region) Close() error {
 	if r.file == nil {
 		return nil
 	}
-	err := r.Sync()
+	err := r.file.Sync()
+	if uerr := syscall.Munmap(r.mapping); err == nil {
+		err = uerr
+	}
 	if cerr := r.file.Close(); err == nil {
 		err = cerr
 	}
-	r.file = nil
+	r.file, r.mapping, r.shadow = nil, nil, nil
 	return err
 }
 

@@ -60,9 +60,10 @@ type (
 
 // Store errors.
 var (
-	ErrFull       = core.ErrFull
-	ErrKeyTooLong = core.ErrKeyTooLong
-	ErrCorrupt    = core.ErrCorrupt
+	ErrFull          = core.ErrFull
+	ErrKeyTooLong    = core.ErrKeyTooLong
+	ErrValueTooLarge = core.ErrValueTooLarge
+	ErrCorrupt       = core.ErrCorrupt
 	// ErrShardDown marks operations routed to a quarantined shard; the
 	// rest of the store keeps serving (match with errors.Is).
 	ErrShardDown = core.ErrShardDown
@@ -79,8 +80,11 @@ var (
 // NewRegion creates an in-memory simulated PM region.
 func NewRegion(size int, p Profile) *Region { return pmem.New(size, p) }
 
-// OpenRegionFile opens (or creates) a file-backed PM region, giving real
-// durability across process restarts.
+// OpenRegionFile opens (or creates) a file-backed PM region. The image
+// file is mapped and every fence lands in it, so fenced writes survive
+// the death of the process (SIGKILL, the OOM killer, a panic) without a
+// Sync. Surviving a power loss or kernel crash takes Sync or Close: only
+// the state as of the last one is guaranteed to be on the disk.
 func OpenRegionFile(path string, size int, p Profile) (*Region, error) {
 	return pmem.OpenFile(path, size, p)
 }
